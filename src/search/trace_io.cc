@@ -2,25 +2,11 @@
 
 #include <cstdio>
 
+#include "support/json_writer.h"
+
 namespace volcano {
 
 namespace {
-
-void AppendEscaped(const char* s, std::string* out) {
-  for (; *s != '\0'; ++s) {
-    char c = *s;
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out->append(buf);
-    } else {
-      out->push_back(c);
-    }
-  }
-}
 
 void AppendNumber(const char* key, double v, std::string* out) {
   char buf[48];
@@ -53,20 +39,14 @@ void JsonTraceSink::OnEvent(const TraceEvent& event) {
     line.append(", \"rule_id\": ");
     line.append(std::to_string(event.rule_id));
   }
-  if (event.worker != 0) {
-    // Only parallel workers stamp a nonzero id, so single-threaded streams
-    // (and the golden trace) are unchanged byte for byte.
-    line.append(", \"worker\": ");
-    line.append(std::to_string(event.worker));
-  }
   if (event.rule != nullptr) {
     line.append(", \"rule\": \"");
-    AppendEscaped(event.rule, &line);
+    JsonWriter::Escape(event.rule, &line);
     line.push_back('"');
   }
   if (event.detail != nullptr) {
     line.append(", \"detail\": \"");
-    AppendEscaped(event.detail, &line);
+    JsonWriter::Escape(event.detail, &line);
     line.push_back('"');
   }
   switch (event.kind) {

@@ -17,9 +17,10 @@
 #define VOLCANO_SUPPORT_METRICS_H_
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <vector>
+
+#include "support/json_writer.h"
 
 namespace volcano {
 
@@ -61,46 +62,20 @@ struct SearchMetrics {
 
 namespace metrics_internal {
 
-inline void AppendJsonEscaped(const char* s, std::string* out) {
-  for (; *s != '\0'; ++s) {
-    char c = *s;
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out->append(buf);
-    } else {
-      out->push_back(c);
-    }
-  }
-}
-
-inline void AppendRuleArray(const char* key,
-                            const std::vector<RuleCounters>& rules,
-                            bool with_winners, std::string* out) {
-  out->append("\"");
-  out->append(key);
-  out->append("\": [");
-  bool first = true;
+inline void WriteRuleArray(const char* key,
+                           const std::vector<RuleCounters>& rules,
+                           bool with_winners, JsonWriter* w) {
+  w->Key(key).BeginArray();
   for (const RuleCounters& r : rules) {
     if (r.fired == 0 && r.succeeded == 0 && r.winners == 0) continue;
-    if (!first) out->append(", ");
-    first = false;
-    out->append("{\"rule\": \"");
-    AppendJsonEscaped(r.name, out);
-    out->append("\", \"fired\": ");
-    out->append(std::to_string(r.fired));
-    out->append(", \"succeeded\": ");
-    out->append(std::to_string(r.succeeded));
-    if (with_winners) {
-      out->append(", \"winners\": ");
-      out->append(std::to_string(r.winners));
-    }
-    out->append("}");
+    w->BeginObject();
+    w->Key("rule").Value(r.name);
+    w->Key("fired").Value(r.fired);
+    w->Key("succeeded").Value(r.succeeded);
+    if (with_winners) w->Key("winners").Value(r.winners);
+    w->EndObject();
   }
-  out->append("]");
+  w->EndArray();
 }
 
 }  // namespace metrics_internal
@@ -108,28 +83,26 @@ inline void AppendRuleArray(const char* key,
 /// Renders the registry as a JSON object (rules with all-zero counters are
 /// elided; timers appear only when they were collected).
 inline std::string MetricsToJson(const SearchMetrics& m) {
-  std::string out = "{";
-  metrics_internal::AppendRuleArray("transformations", m.transformations,
-                                    /*with_winners=*/false, &out);
-  out.append(", ");
-  metrics_internal::AppendRuleArray("implementations", m.implementations,
-                                    /*with_winners=*/true, &out);
-  out.append(", ");
-  metrics_internal::AppendRuleArray("enforcers", m.enforcers,
-                                    /*with_winners=*/true, &out);
+  JsonWriter w;
+  w.BeginObject();
+  metrics_internal::WriteRuleArray("transformations", m.transformations,
+                                   /*with_winners=*/false, &w);
+  metrics_internal::WriteRuleArray("implementations", m.implementations,
+                                   /*with_winners=*/true, &w);
+  metrics_internal::WriteRuleArray("enforcers", m.enforcers,
+                                   /*with_winners=*/true, &w);
   if (m.phases.enabled) {
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  ", \"phases\": {\"total_s\": %.6f, \"explore_s\": %.6f, "
-                  "\"pursue_s\": %.6f, \"other_s\": %.6f}",
-                  m.phases.total_seconds, m.phases.explore_seconds,
-                  m.phases.pursue_seconds,
-                  m.phases.total_seconds - m.phases.explore_seconds -
-                      m.phases.pursue_seconds);
-    out.append(buf);
+    const PhaseTimers& p = m.phases;
+    w.Key("phases").BeginObject();
+    w.Key("total_s").Fixed(p.total_seconds, 6);
+    w.Key("explore_s").Fixed(p.explore_seconds, 6);
+    w.Key("pursue_s").Fixed(p.pursue_seconds, 6);
+    w.Key("other_s").Fixed(
+        p.total_seconds - p.explore_seconds - p.pursue_seconds, 6);
+    w.EndObject();
   }
-  out.append("}");
-  return out;
+  w.EndObject();
+  return w.Take();
 }
 
 }  // namespace volcano

@@ -18,7 +18,10 @@ namespace volcano {
 namespace {
 
 struct Case {
-  int relations;
+  // 64-bit so that Case has no padding: gtest prints the raw bytes of each
+  // parameter into the listed test name, and uninitialised padding bytes made
+  // some names differ from run to run.
+  int64_t relations;
   uint64_t seed;
   double order_by_prob;
 };
@@ -27,7 +30,7 @@ class EndToEnd : public ::testing::TestWithParam<Case> {};
 
 rel::Workload MakeWorkload(const Case& c) {
   rel::WorkloadOptions wopts;
-  wopts.num_relations = c.relations;
+  wopts.num_relations = static_cast<int>(c.relations);
   // Small relations keep the nested-loop reference evaluation fast.
   wopts.min_cardinality = 40;
   wopts.max_cardinality = 120;

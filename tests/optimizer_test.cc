@@ -293,6 +293,34 @@ TEST(Failures, WinnerIsReusedAcrossCalls) {
   EXPECT_EQ(after.mexprs_created, before.mexprs_created);
 }
 
+TEST(Stats, DedupCounterSeesJoinCommutedBack) {
+  // Commuting A JOIN B derives B JOIN A; commuting that derives A JOIN B
+  // again, which the signature table recognizes as an existing expression.
+  Chain c(2);
+  Optimizer opt(*c.model);
+  ASSERT_TRUE(opt.Optimize(*c.expr, nullptr).ok());
+  SearchStats st = opt.stats();
+  EXPECT_GT(st.mexprs_deduped, 0u);
+  EXPECT_EQ(st.mexprs_deduped, opt.memo().num_deduped());
+}
+
+TEST(Stats, TaskEnginePhaseTimersSplitExploreAndPursue) {
+  for (SearchOptions::Engine engine :
+       {SearchOptions::Engine::kTask, SearchOptions::Engine::kBestFirst}) {
+    SCOPED_TRACE(static_cast<int>(engine));
+    Chain c(4);
+    SearchOptions options;
+    options.engine = engine;
+    options.collect_phase_timing = true;
+    Optimizer opt(*c.model, SearchConfig::FromOptions(options).value());
+    ASSERT_TRUE(opt.Optimize(*c.expr, nullptr).ok());
+    const PhaseTimers& p = opt.metrics().phases;
+    EXPECT_GT(p.explore_seconds, 0.0);
+    EXPECT_GT(p.pursue_seconds, 0.0);
+    EXPECT_LE(p.explore_seconds + p.pursue_seconds, p.total_seconds);
+  }
+}
+
 TEST(Budget, MemoCapAborts) {
   // In strict mode the memo cap is a hard error; by default (anytime
   // degradation) the same trip yields an approximate plan. The full budget

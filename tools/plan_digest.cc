@@ -10,10 +10,10 @@
 //
 // Usage:
 //   plan_digest [--verbose] [--engine=task|recursive|best-first]
-//               [--workers=N] [--join-seed] [--tpch]
+//               [--join-seed] [--tpch]
 //
-// --engine and --workers select the search engine; every combination must
-// print the same digest (tests/engine_differential_test.cc holds the
+// --engine selects the search engine; every engine must print the same
+// digest (tests/engine_differential_test.cc holds the
 // committed value). --join-seed turns on greedy incumbent seeding
 // (DESIGN.md §12), which is digest-preserving below the escalation
 // threshold — the whole grid, so the flag must not change the digest
@@ -57,9 +57,6 @@ int main(int argc, char** argv) {
     }
     if (std::strcmp(argv[i], "--engine=best-first") == 0) {
       base.engine = SearchOptions::Engine::kBestFirst;
-    }
-    if (std::strncmp(argv[i], "--workers=", 10) == 0) {
-      base.workers = std::atoi(argv[i] + 10);
     }
     if (std::strcmp(argv[i], "--join-seed") == 0) {
       base.join_seed = true;
