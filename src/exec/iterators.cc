@@ -1,18 +1,77 @@
 #include "exec/iterators.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <cstring>
+
+#include "support/hash.h"
 
 namespace volcano::exec {
+
+namespace {
+
+/// A fixed-width output buffer; never empty, so data() is never null even
+/// for a zero-width schema.
+std::vector<int64_t> RowBuffer(size_t width) {
+  return std::vector<int64_t>(std::max<size_t>(1, width), 0);
+}
+
+void CopyRow(const int64_t* from, size_t width, int64_t* to) {
+  std::memcpy(to, from, width * sizeof(int64_t));
+}
+
+bool EqualRows(const int64_t* a, const int64_t* b, size_t width) {
+  return std::equal(a, a + width, b);
+}
+
+/// Opens `input`, copies every row into a fresh slab, closes it.
+void DrainInto(Iterator& input, Table* slab) {
+  *slab = Table(input.schema());
+  input.Open();
+  while (const int64_t* row = input.Next()) slab->Append(row);
+  input.Close();
+}
+
+std::vector<int> ColumnsOf(const Schema& schema,
+                           const std::vector<Symbol>& attrs) {
+  std::vector<int> cols;
+  cols.reserve(attrs.size());
+  for (Symbol attr : attrs) {
+    int c = schema.IndexOf(attr);
+    VOLCANO_CHECK(c >= 0);
+    cols.push_back(c);
+  }
+  return cols;
+}
+
+/// Slab positions ordered ascending on `cols` major-to-minor. std::sort on
+/// positions makes the same comparisons and moves it would make on the rows
+/// themselves, so ties come out exactly as a sort of the rows would leave
+/// them.
+std::vector<uint32_t> SortedPositions(const Table& slab,
+                                      const std::vector<int>& cols) {
+  VOLCANO_CHECK(slab.size() < HashIndex::kEnd);
+  std::vector<uint32_t> pos(slab.size());
+  for (size_t i = 0; i < pos.size(); ++i) pos[i] = static_cast<uint32_t>(i);
+  std::sort(pos.begin(), pos.end(), [&](uint32_t a, uint32_t b) {
+    const int64_t* ra = slab.row(a);
+    const int64_t* rb = slab.row(b);
+    for (int c : cols) {
+      if (ra[c] != rb[c]) return ra[c] < rb[c];
+    }
+    return false;
+  });
+  return pos;
+}
+
+}  // namespace
 
 // --- helpers (iterator.h) ----------------------------------------------------
 
 std::vector<Row> Drain(Iterator& it) {
   std::vector<Row> out;
+  size_t width = it.schema().size();
   it.Open();
-  Row row;
-  while (it.Next(&row)) out.push_back(row);
+  while (const int64_t* row = it.Next()) out.emplace_back(row, row + width);
   it.Close();
   return out;
 }
@@ -34,6 +93,66 @@ bool IsSortedBy(const std::vector<Row>& rows, const std::vector<int>& cols) {
   return true;
 }
 
+// --- HashIndex ---------------------------------------------------------------
+
+void HashIndex::Build(Iterator& input, int col) {
+  slab_ = Table(input.schema());
+  input.Open();
+  while (const int64_t* row = input.Next()) {
+    if (row[col] != kNull) slab_.Append(row);  // NULL keys never join
+  }
+  input.Close();
+  VOLCANO_CHECK(slab_.size() < kEnd);
+  heads_.Clear();
+  next_.assign(slab_.size(), kEnd);
+  // Push-front in reverse, so each chain runs in input order.
+  for (size_t i = slab_.size(); i-- > 0;) {
+    auto pos = static_cast<uint32_t>(i);
+    auto [head, inserted] = heads_.TryEmplace(slab_.row(i)[col], pos);
+    if (!inserted) {
+      next_[i] = *head;
+      *head = pos;
+    }
+  }
+}
+
+void HashIndex::Clear() {
+  slab_ = Table();
+  heads_.Clear();
+  next_ = {};
+}
+
+// --- RowSet ------------------------------------------------------------------
+
+void RowSet::Reset(const Schema& schema) {
+  slab_ = Table(schema);
+  index_.Clear();
+}
+
+uint64_t RowSet::HashRow(const int64_t* row) const {
+  uint64_t h = slab_.width();
+  for (size_t i = 0; i < slab_.width(); ++i) {
+    h = HashCombine(h, static_cast<uint64_t>(row[i]));
+  }
+  return h;
+}
+
+int64_t RowSet::Find(const int64_t* row, uint64_t hash) const {
+  const uint32_t* pos = index_.FindHashed(hash, [&](uint32_t p) {
+    return EqualRows(slab_.row(p), row, slab_.width());
+  });
+  if (pos == nullptr) return -1;
+  return *pos;
+}
+
+bool RowSet::Insert(const int64_t* row) {
+  uint64_t hash = HashRow(row);
+  if (Find(row, hash) >= 0) return false;
+  VOLCANO_CHECK(slab_.size() < HashIndex::kEnd);
+  index_.InsertHashed(hash, static_cast<uint32_t>(slab_.Append(row)));
+  return true;
+}
+
 // --- FilterIterator ----------------------------------------------------------
 
 FilterIterator::FilterIterator(IteratorPtr input, const rel::SelectArg& pred)
@@ -45,13 +164,13 @@ void FilterIterator::Open() {
   VOLCANO_CHECK(col_ >= 0);
 }
 
-bool FilterIterator::Next(Row* row) {
-  while (input_->Next(row)) {
+const int64_t* FilterIterator::Next() {
+  while (const int64_t* row = input_->Next()) {
     // Predicates on NULL are unknown, never true.
-    int64_t v = (*row)[col_];
-    if (v != kNull && pred_.Eval(v)) return true;
+    int64_t v = row[col_];
+    if (v != kNull && pred_.Eval(v)) return row;
   }
-  return false;
+  return nullptr;
 }
 
 void FilterIterator::Close() { input_->Close(); }
@@ -62,31 +181,19 @@ SortIterator::SortIterator(IteratorPtr input, std::vector<Symbol> order)
     : input_(std::move(input)), order_(std::move(order)) {}
 
 void SortIterator::Open() {
-  rows_ = Drain(*input_);
-  std::vector<int> cols;
-  for (Symbol attr : order_) {
-    int c = input_->schema().IndexOf(attr);
-    VOLCANO_CHECK(c >= 0);
-    cols.push_back(c);
-  }
-  std::sort(rows_.begin(), rows_.end(), [&](const Row& a, const Row& b) {
-    for (int c : cols) {
-      if (a[c] != b[c]) return a[c] < b[c];
-    }
-    return false;
-  });
+  DrainInto(*input_, &slab_);
+  order_pos_ = SortedPositions(slab_, ColumnsOf(input_->schema(), order_));
   pos_ = 0;
 }
 
-bool SortIterator::Next(Row* row) {
-  if (pos_ >= rows_.size()) return false;
-  *row = rows_[pos_++];
-  return true;
+const int64_t* SortIterator::Next() {
+  if (pos_ >= order_pos_.size()) return nullptr;
+  return slab_.row(order_pos_[pos_++]);
 }
 
 void SortIterator::Close() {
-  rows_.clear();
-  rows_.shrink_to_fit();
+  slab_ = Table();
+  order_pos_ = {};
 }
 
 // --- MergeJoinIterator -------------------------------------------------------
@@ -103,21 +210,23 @@ MergeJoinIterator::MergeJoinIterator(IteratorPtr left, IteratorPtr right,
 void MergeJoinIterator::Open() {
   left_->Open();
   right_->Open();
-  lvalid_ = left_->Next(&lrow_);
-  rvalid_ = right_->Next(&rrow_);
+  lrow_ = left_->Next();
+  rrow_ = right_->Next();
+  rgroup_ = Table(right_->schema());
   rgroup_valid_ = false;
   rpos_ = 0;
+  out_ = RowBuffer(schema_.size());
 }
 
 bool MergeJoinIterator::FillRightGroup(int64_t key) {
-  // Advance the right input to `key`, then buffer the whole value group so
-  // duplicate left keys can re-scan it.
-  while (rvalid_ && rrow_[rcol_] < key) rvalid_ = right_->Next(&rrow_);
-  if (!rvalid_ || rrow_[rcol_] != key) return false;
-  rgroup_.clear();
-  while (rvalid_ && rrow_[rcol_] == key) {
-    rgroup_.push_back(rrow_);
-    rvalid_ = right_->Next(&rrow_);
+  // Advance the right input to `key`, then copy the whole value group so
+  // duplicate left keys can re-scan it after the right input has moved on.
+  while (rrow_ != nullptr && rrow_[rcol_] < key) rrow_ = right_->Next();
+  if (rrow_ == nullptr || rrow_[rcol_] != key) return false;
+  rgroup_.Clear();
+  while (rrow_ != nullptr && rrow_[rcol_] == key) {
+    rgroup_.Append(rrow_);
+    rrow_ = right_->Next();
   }
   rgroup_key_ = key;
   rgroup_valid_ = true;
@@ -125,31 +234,31 @@ bool MergeJoinIterator::FillRightGroup(int64_t key) {
   return true;
 }
 
-bool MergeJoinIterator::Next(Row* row) {
+const int64_t* MergeJoinIterator::Next() {
   while (true) {
-    if (!lvalid_) return false;
+    if (lrow_ == nullptr) return nullptr;
     int64_t key = lrow_[lcol_];
     if (key == kNull) {  // NULL keys never join
-      lvalid_ = left_->Next(&lrow_);
+      lrow_ = left_->Next();
       continue;
     }
     if (!rgroup_valid_ || rgroup_key_ != key) {
       // Both inputs are sorted ascending, so a new left key is always at or
       // beyond the buffered group; fetch the group for this key.
       if (!FillRightGroup(key)) {
-        if (!rvalid_) return false;  // right exhausted: no further matches
-        lvalid_ = left_->Next(&lrow_);  // no right rows with this key
+        if (rrow_ == nullptr) return nullptr;  // right exhausted: no matches
+        lrow_ = left_->Next();  // no right rows with this key
         continue;
       }
     }
     if (rpos_ < rgroup_.size()) {
-      *row = lrow_;
-      const Row& r = rgroup_[rpos_++];
-      row->insert(row->end(), r.begin(), r.end());
-      return true;
+      size_t lw = left_->schema().size();
+      CopyRow(lrow_, lw, out_.data());
+      CopyRow(rgroup_.row(rpos_++), rgroup_.width(), out_.data() + lw);
+      return out_.data();
     }
     // Group exhausted for this left row; a duplicate left key re-scans it.
-    lvalid_ = left_->Next(&lrow_);
+    lrow_ = left_->Next();
     rpos_ = 0;
   }
 }
@@ -157,7 +266,7 @@ bool MergeJoinIterator::Next(Row* row) {
 void MergeJoinIterator::Close() {
   left_->Close();
   right_->Close();
-  rgroup_.clear();
+  rgroup_ = Table();
 }
 
 // --- HashJoinIterator --------------------------------------------------------
@@ -172,41 +281,31 @@ HashJoinIterator::HashJoinIterator(IteratorPtr left, IteratorPtr right,
 }
 
 void HashJoinIterator::Open() {
-  left_->Open();
-  Row row;
-  while (left_->Next(&row)) {
-    int64_t key = row[lcol_];
-    if (key == kNull) continue;  // NULL keys never join
-    hash_.emplace(key, std::move(row));
-    row.clear();
-  }
-  left_->Close();
+  build_.Build(*left_, lcol_);
   right_->Open();
-  rvalid_ = false;
-  in_match_ = false;
+  match_ = HashIndex::kEnd;
+  out_ = RowBuffer(schema_.size());
 }
 
-bool HashJoinIterator::Next(Row* row) {
-  while (true) {
-    if (in_match_) {
-      if (match_range_.first != match_range_.second) {
-        *row = match_range_.first->second;
-        row->insert(row->end(), rrow_.begin(), rrow_.end());
-        ++match_range_.first;
-        return true;
-      }
-      in_match_ = false;
+const int64_t* HashJoinIterator::Next() {
+  size_t lw = left_->schema().size();
+  while (match_ == HashIndex::kEnd) {
+    const int64_t* rrow = right_->Next();
+    if (rrow == nullptr) return nullptr;
+    match_ = build_.First(rrow[rcol_]);
+    // The probe row is copied once; each match rewrites only the left part.
+    if (match_ != HashIndex::kEnd) {
+      CopyRow(rrow, right_->schema().size(), out_.data() + lw);
     }
-    rvalid_ = right_->Next(&rrow_);
-    if (!rvalid_) return false;
-    match_range_ = hash_.equal_range(rrow_[rcol_]);
-    in_match_ = true;
   }
+  CopyRow(build_.row(match_), lw, out_.data());
+  match_ = build_.Next(match_);
+  return out_.data();
 }
 
 void HashJoinIterator::Close() {
   right_->Close();
-  hash_.clear();
+  build_.Clear();
 }
 
 // --- HashLeftOuterJoinIterator -----------------------------------------------
@@ -225,42 +324,35 @@ HashLeftOuterJoinIterator::HashLeftOuterJoinIterator(IteratorPtr left,
 void HashLeftOuterJoinIterator::Open() {
   // Build on the inner (right) side: probing with the outer stream is what
   // lets each outer row be padded exactly once when it finds no match.
-  right_->Open();
-  Row row;
-  while (right_->Next(&row)) {
-    int64_t key = row[rcol_];
-    if (key == kNull) continue;  // NULL keys never join
-    hash_.emplace(key, std::move(row));
-    row.clear();
-  }
-  right_->Close();
+  build_.Build(*right_, rcol_);
   left_->Open();
   in_probe_ = false;
   emitted_match_ = false;
+  out_ = RowBuffer(schema_.size());
 }
 
-bool HashLeftOuterJoinIterator::Next(Row* row) {
+const int64_t* HashLeftOuterJoinIterator::Next() {
+  size_t lw = left_->schema().size();
+  size_t rw = right_->schema().size();
   while (true) {
     if (in_probe_) {
-      if (match_range_.first != match_range_.second) {
-        *row = lrow_;
-        const Row& r = match_range_.first->second;
-        row->insert(row->end(), r.begin(), r.end());
-        ++match_range_.first;
+      // The outer row was copied into out_ when its probe began.
+      if (match_ != HashIndex::kEnd) {
+        CopyRow(build_.row(match_), rw, out_.data() + lw);
+        match_ = build_.Next(match_);
         emitted_match_ = true;
-        return true;
+        return out_.data();
       }
       in_probe_ = false;
       if (!emitted_match_) {
-        *row = lrow_;
-        row->insert(row->end(), right_->schema().size(), kNull);
-        return true;
+        std::fill(out_.begin() + lw, out_.begin() + lw + rw, kNull);
+        return out_.data();
       }
     }
-    if (!left_->Next(&lrow_)) return false;
-    int64_t key = lrow_[lcol_];
-    match_range_ = key == kNull ? std::make_pair(hash_.end(), hash_.end())
-                                : hash_.equal_range(key);
+    const int64_t* lrow = left_->Next();
+    if (lrow == nullptr) return nullptr;
+    CopyRow(lrow, lw, out_.data());
+    match_ = build_.First(lrow[lcol_]);
     in_probe_ = true;
     emitted_match_ = false;
   }
@@ -268,10 +360,24 @@ bool HashLeftOuterJoinIterator::Next(Row* row) {
 
 void HashLeftOuterJoinIterator::Close() {
   left_->Close();
-  hash_.clear();
+  build_.Clear();
 }
 
 // --- HashSemiJoinIterator ----------------------------------------------------
+
+namespace {
+
+/// The non-NULL join keys of `input` at column `col`.
+void CollectKeys(Iterator& input, int col, FlatHashSet<int64_t>* keys) {
+  keys->Clear();
+  input.Open();
+  while (const int64_t* row = input.Next()) {
+    if (row[col] != kNull) keys->Insert(row[col]);
+  }
+  input.Close();
+}
+
+}  // namespace
 
 HashSemiJoinIterator::HashSemiJoinIterator(IteratorPtr left, IteratorPtr right,
                                            Symbol left_attr, Symbol right_attr)
@@ -284,26 +390,21 @@ HashSemiJoinIterator::HashSemiJoinIterator(IteratorPtr left, IteratorPtr right,
 void HashSemiJoinIterator::Open() {
   // Only key existence matters: a set, not a multimap, so inner duplicates
   // cannot multiply outer rows.
-  right_->Open();
-  Row row;
-  while (right_->Next(&row)) {
-    if (row[rcol_] != kNull) keys_.insert(row[rcol_]);
-  }
-  right_->Close();
+  CollectKeys(*right_, rcol_, &keys_);
   left_->Open();
 }
 
-bool HashSemiJoinIterator::Next(Row* row) {
-  while (left_->Next(row)) {
-    int64_t key = (*row)[lcol_];
-    if (key != kNull && keys_.count(key) != 0) return true;
+const int64_t* HashSemiJoinIterator::Next() {
+  while (const int64_t* row = left_->Next()) {
+    int64_t key = row[lcol_];
+    if (key != kNull && keys_.Contains(key)) return row;
   }
-  return false;
+  return nullptr;
 }
 
 void HashSemiJoinIterator::Close() {
   left_->Close();
-  keys_.clear();
+  keys_.Clear();
 }
 
 // --- HashAntiJoinIterator ----------------------------------------------------
@@ -317,27 +418,22 @@ HashAntiJoinIterator::HashAntiJoinIterator(IteratorPtr left, IteratorPtr right,
 }
 
 void HashAntiJoinIterator::Open() {
-  right_->Open();
-  Row row;
-  while (right_->Next(&row)) {
-    if (row[rcol_] != kNull) keys_.insert(row[rcol_]);
-  }
-  right_->Close();
+  CollectKeys(*right_, rcol_, &keys_);
   left_->Open();
 }
 
-bool HashAntiJoinIterator::Next(Row* row) {
-  while (left_->Next(row)) {
-    int64_t key = (*row)[lcol_];
+const int64_t* HashAntiJoinIterator::Next() {
+  while (const int64_t* row = left_->Next()) {
+    int64_t key = row[lcol_];
     // A kNull key matches nothing, so the antijoin keeps the row.
-    if (key == kNull || keys_.count(key) == 0) return true;
+    if (key == kNull || !keys_.Contains(key)) return row;
   }
-  return false;
+  return nullptr;
 }
 
 void HashAntiJoinIterator::Close() {
   left_->Close();
-  keys_.clear();
+  keys_.Clear();
 }
 
 // --- NestedSubqIterator ------------------------------------------------------
@@ -351,33 +447,32 @@ NestedSubqIterator::NestedSubqIterator(IteratorPtr left, IteratorPtr right,
 }
 
 void NestedSubqIterator::Open() {
-  inner_ = Drain(*right_);
+  DrainInto(*right_, &inner_);
   left_->Open();
 }
 
-bool NestedSubqIterator::Next(Row* row) {
-  while (left_->Next(row)) {
-    int64_t key = (*row)[lcol_];
+const int64_t* NestedSubqIterator::Next() {
+  while (const int64_t* row = left_->Next()) {
+    int64_t key = row[lcol_];
     // Deliberately quadratic: the full inner scan per outer row is what a
     // correlated subquery costs before unnesting.
     bool match = false;
     if (key != kNull) {
-      for (const Row& r : inner_) {
-        if (r[rcol_] == key) {
+      for (size_t i = 0; i < inner_.size(); ++i) {
+        if (inner_.row(i)[rcol_] == key) {
           match = true;
           break;
         }
       }
     }
-    if (match != arg_.negated()) return true;
+    if (match != arg_.negated()) return row;
   }
-  return false;
+  return nullptr;
 }
 
 void NestedSubqIterator::Close() {
   left_->Close();
-  inner_.clear();
-  inner_.shrink_to_fit();
+  inner_ = Table();
 }
 
 // --- MultiHashJoinIterator -----------------------------------------------------
@@ -397,86 +492,62 @@ MultiHashJoinIterator::MultiHashJoinIterator(IteratorPtr a, IteratorPtr b,
 }
 
 void MultiHashJoinIterator::Open() {
-  Row row;
-  b_->Open();
-  while (b_->Next(&row)) {
-    int64_t key = row[b_inner_col_];
-    b_hash_.emplace(key, std::move(row));
-    row.clear();
-  }
-  b_->Close();
-  c_->Open();
-  while (c_->Next(&row)) {
-    int64_t key = row[c_outer_col_];
-    c_hash_.emplace(key, std::move(row));
-    row.clear();
-  }
-  c_->Close();
+  b_build_.Build(*b_, b_inner_col_);
+  c_build_.Build(*c_, c_outer_col_);
   a_->Open();
-  avalid_ = false;
-  in_b_ = false;
-  in_c_ = false;
+  b_match_ = HashIndex::kEnd;
+  c_match_ = HashIndex::kEnd;
+  out_ = RowBuffer(schema_.size());
 }
 
-bool MultiHashJoinIterator::Next(Row* row) {
+const int64_t* MultiHashJoinIterator::Next() {
+  size_t aw = a_->schema().size();
+  size_t bw = b_->schema().size();
   while (true) {
-    if (in_c_) {
-      if (c_range_.first != c_range_.second) {
-        *row = ab_row_;
-        const Row& c = c_range_.first->second;
-        row->insert(row->end(), c.begin(), c.end());
-        ++c_range_.first;
-        return true;
-      }
-      in_c_ = false;
+    if (c_match_ != HashIndex::kEnd) {
+      CopyRow(c_build_.row(c_match_), c_->schema().size(),
+              out_.data() + aw + bw);
+      c_match_ = c_build_.Next(c_match_);
+      return out_.data();
     }
-    if (in_b_) {
-      if (b_range_.first != b_range_.second) {
-        // The intermediate (a, b) row exists only transiently here; it is
-        // never materialized into a table.
-        ab_row_ = arow_;
-        const Row& b = b_range_.first->second;
-        ab_row_.insert(ab_row_.end(), b.begin(), b.end());
-        ++b_range_.first;
-        c_range_ = c_hash_.equal_range(ab_row_[ab_outer_col_]);
-        in_c_ = true;
-        continue;
-      }
-      in_b_ = false;
+    if (b_match_ != HashIndex::kEnd) {
+      // The intermediate (a, b) row exists only as the output buffer's
+      // prefix; it is never materialized into a table.
+      CopyRow(b_build_.row(b_match_), bw, out_.data() + aw);
+      b_match_ = b_build_.Next(b_match_);
+      c_match_ = c_build_.First(out_[ab_outer_col_]);
+      continue;
     }
-    avalid_ = a_->Next(&arow_);
-    if (!avalid_) return false;
-    b_range_ = b_hash_.equal_range(arow_[a_inner_col_]);
-    in_b_ = true;
+    const int64_t* arow = a_->Next();
+    if (arow == nullptr) return nullptr;
+    CopyRow(arow, aw, out_.data());
+    b_match_ = b_build_.First(arow[a_inner_col_]);
   }
 }
 
 void MultiHashJoinIterator::Close() {
   a_->Close();
-  b_hash_.clear();
-  c_hash_.clear();
+  b_build_.Clear();
+  c_build_.Clear();
 }
 
 // --- ProjectIterator ---------------------------------------------------------
 
 ProjectIterator::ProjectIterator(IteratorPtr input, std::vector<Symbol> attrs)
-    : input_(std::move(input)), schema_(attrs) {
-  for (Symbol a : attrs) {
-    int c = input_->schema().IndexOf(a);
-    VOLCANO_CHECK(c >= 0);
-    cols_.push_back(c);
-  }
+    : input_(std::move(input)),
+      schema_(attrs),
+      cols_(ColumnsOf(input_->schema(), attrs)) {}
+
+void ProjectIterator::Open() {
+  input_->Open();
+  out_ = RowBuffer(cols_.size());
 }
 
-void ProjectIterator::Open() { input_->Open(); }
-
-bool ProjectIterator::Next(Row* row) {
-  Row in;
-  if (!input_->Next(&in)) return false;
-  row->clear();
-  row->reserve(cols_.size());
-  for (int c : cols_) row->push_back(in[c]);
-  return true;
+const int64_t* ProjectIterator::Next() {
+  const int64_t* in = input_->Next();
+  if (in == nullptr) return nullptr;
+  for (size_t i = 0; i < cols_.size(); ++i) out_[i] = in[cols_[i]];
+  return out_.data();
 }
 
 void ProjectIterator::Close() { input_->Close(); }
@@ -494,12 +565,12 @@ void ConcatIterator::Open() {
   on_right_ = false;
 }
 
-bool ConcatIterator::Next(Row* row) {
+const int64_t* ConcatIterator::Next() {
   if (!on_right_) {
-    if (left_->Next(row)) return true;
+    if (const int64_t* row = left_->Next()) return row;
     on_right_ = true;
   }
-  return right_->Next(row);
+  return right_->Next();
 }
 
 void ConcatIterator::Close() {
@@ -517,27 +588,31 @@ HashAggIterator::HashAggIterator(IteratorPtr input, Symbol group_attr,
 }
 
 void HashAggIterator::Open() {
-  std::unordered_map<int64_t, int64_t> counts;
+  // Each group's (value, count) row lives in the output slab; the map
+  // points at it by position.
+  FlatHashMap<int64_t, uint32_t> groups;
+  out_ = Table(schema_);
   input_->Open();
-  Row row;
-  while (input_->Next(&row)) ++counts[row[group_col_]];
+  while (const int64_t* row = input_->Next()) {
+    int64_t group = row[group_col_];
+    auto [pos, inserted] =
+        groups.TryEmplace(group, static_cast<uint32_t>(out_.size()));
+    if (inserted) {
+      const int64_t fresh[2] = {group, 0};
+      out_.Append(fresh);
+    }
+    ++out_.mutable_row(*pos)[1];
+  }
   input_->Close();
-  out_.clear();
-  out_.reserve(counts.size());
-  for (const auto& [group, count] : counts) out_.push_back(Row{group, count});
   pos_ = 0;
 }
 
-bool HashAggIterator::Next(Row* row) {
-  if (pos_ >= out_.size()) return false;
-  *row = out_[pos_++];
-  return true;
+const int64_t* HashAggIterator::Next() {
+  if (pos_ >= out_.size()) return nullptr;
+  return out_.row(pos_++);
 }
 
-void HashAggIterator::Close() {
-  out_.clear();
-  out_.shrink_to_fit();
-}
+void HashAggIterator::Close() { out_ = Table(); }
 
 // --- SortAggIterator -----------------------------------------------------------
 
@@ -550,25 +625,21 @@ SortAggIterator::SortAggIterator(IteratorPtr input, Symbol group_attr,
 
 void SortAggIterator::Open() {
   input_->Open();
-  pending_valid_ = input_->Next(&pending_);
-  done_ = false;
+  pending_ = input_->Next();
 }
 
-bool SortAggIterator::Next(Row* row) {
-  if (!pending_valid_ || done_) return false;
+const int64_t* SortAggIterator::Next() {
+  if (pending_ == nullptr) return nullptr;
+  // Only the group value is kept across the input's Next calls.
   int64_t group = pending_[group_col_];
   int64_t count = 1;
-  while (true) {
-    pending_valid_ = input_->Next(&pending_);
-    if (!pending_valid_) {
-      done_ = true;
-      break;
-    }
-    if (pending_[group_col_] != group) break;
+  while ((pending_ = input_->Next()) != nullptr &&
+         pending_[group_col_] == group) {
     ++count;
   }
-  *row = Row{group, count};
-  return true;
+  out_[0] = group;
+  out_[1] = count;
+  return out_;
 }
 
 void SortAggIterator::Close() { input_->Close(); }
@@ -589,26 +660,19 @@ MergeIntersectIterator::MergeIntersectIterator(IteratorPtr left,
 }
 
 void MergeIntersectIterator::Open() {
-  lcols_.clear();
-  rcols_.clear();
-  for (Symbol a : left_order_) {
-    int c = left_->schema().IndexOf(a);
-    VOLCANO_CHECK(c >= 0);
-    lcols_.push_back(c);
-  }
-  for (Symbol a : right_order_) {
-    int c = right_->schema().IndexOf(a);
-    VOLCANO_CHECK(c >= 0);
-    rcols_.push_back(c);
-  }
+  lcols_ = ColumnsOf(left_->schema(), left_order_);
+  rcols_ = ColumnsOf(right_->schema(), right_order_);
   left_->Open();
   right_->Open();
-  lvalid_ = left_->Next(&lrow_);
-  rvalid_ = right_->Next(&rrow_);
+  lrow_ = left_->Next();
+  rrow_ = right_->Next();
   have_last_ = false;
+  last_ = RowBuffer(left_->schema().size());
+  match_ = RowBuffer(left_->schema().size());
 }
 
-bool MergeIntersectIterator::Next(Row* row) {
+const int64_t* MergeIntersectIterator::Next() {
+  size_t width = left_->schema().size();
   auto compare = [&]() {
     for (size_t i = 0; i < lcols_.size(); ++i) {
       int64_t a = lrow_[lcols_[i]];
@@ -617,24 +681,26 @@ bool MergeIntersectIterator::Next(Row* row) {
     }
     return 0;
   };
-  while (lvalid_ && rvalid_) {
+  while (lrow_ != nullptr && rrow_ != nullptr) {
     int c = compare();
     if (c < 0) {
-      lvalid_ = left_->Next(&lrow_);
+      lrow_ = left_->Next();
     } else if (c > 0) {
-      rvalid_ = right_->Next(&rrow_);
+      rrow_ = right_->Next();
     } else {
-      Row match = lrow_;
-      lvalid_ = left_->Next(&lrow_);
-      rvalid_ = right_->Next(&rrow_);
-      if (have_last_ && match == last_) continue;  // duplicate elimination
-      last_ = match;
+      // Copy the match before both inputs move on.
+      CopyRow(lrow_, width, match_.data());
+      lrow_ = left_->Next();
+      rrow_ = right_->Next();
+      if (have_last_ && EqualRows(match_.data(), last_.data(), width)) {
+        continue;  // duplicate elimination
+      }
+      std::swap(last_, match_);
       have_last_ = true;
-      *row = std::move(match);
-      return true;
+      return last_.data();
     }
   }
-  return false;
+  return nullptr;
 }
 
 void MergeIntersectIterator::Close() {
@@ -649,40 +715,34 @@ SortDedupIterator::SortDedupIterator(IteratorPtr input,
     : input_(std::move(input)), prefix_order_(std::move(prefix_order)) {}
 
 void SortDedupIterator::Open() {
-  rows_ = Drain(*input_);
+  DrainInto(*input_, &slab_);
   // Sort columns: the required prefix first, then every remaining column so
   // duplicates become adjacent.
-  std::vector<int> cols;
-  for (Symbol attr : prefix_order_) {
-    int c = input_->schema().IndexOf(attr);
-    VOLCANO_CHECK(c >= 0);
-    cols.push_back(c);
-  }
+  std::vector<int> cols = ColumnsOf(input_->schema(), prefix_order_);
   for (size_t i = 0; i < input_->schema().size(); ++i) {
     int c = static_cast<int>(i);
     if (std::find(cols.begin(), cols.end(), c) == cols.end()) {
       cols.push_back(c);
     }
   }
-  std::sort(rows_.begin(), rows_.end(), [&](const Row& a, const Row& b) {
-    for (int c : cols) {
-      if (a[c] != b[c]) return a[c] < b[c];
-    }
-    return false;
-  });
-  rows_.erase(std::unique(rows_.begin(), rows_.end()), rows_.end());
+  order_pos_ = SortedPositions(slab_, cols);
+  order_pos_.erase(std::unique(order_pos_.begin(), order_pos_.end(),
+                               [&](uint32_t a, uint32_t b) {
+                                 return EqualRows(slab_.row(a), slab_.row(b),
+                                                  slab_.width());
+                               }),
+                   order_pos_.end());
   pos_ = 0;
 }
 
-bool SortDedupIterator::Next(Row* row) {
-  if (pos_ >= rows_.size()) return false;
-  *row = rows_[pos_++];
-  return true;
+const int64_t* SortDedupIterator::Next() {
+  if (pos_ >= order_pos_.size()) return nullptr;
+  return slab_.row(order_pos_[pos_++]);
 }
 
 void SortDedupIterator::Close() {
-  rows_.clear();
-  rows_.shrink_to_fit();
+  slab_ = Table();
+  order_pos_ = {};
 }
 
 // --- HashDedupIterator -----------------------------------------------------------
@@ -691,27 +751,19 @@ HashDedupIterator::HashDedupIterator(IteratorPtr input)
     : input_(std::move(input)) {}
 
 void HashDedupIterator::Open() {
-  std::set<Row> seen;
+  seen_.Reset(input_->schema());
   input_->Open();
-  Row row;
-  out_.clear();
-  while (input_->Next(&row)) {
-    if (seen.insert(row).second) out_.push_back(row);
-  }
+  while (const int64_t* row = input_->Next()) seen_.Insert(row);
   input_->Close();
   pos_ = 0;
 }
 
-bool HashDedupIterator::Next(Row* row) {
-  if (pos_ >= out_.size()) return false;
-  *row = out_[pos_++];
-  return true;
+const int64_t* HashDedupIterator::Next() {
+  if (pos_ >= seen_.rows().size()) return nullptr;
+  return seen_.rows().row(pos_++);
 }
 
-void HashDedupIterator::Close() {
-  out_.clear();
-  out_.shrink_to_fit();
-}
+void HashDedupIterator::Close() { seen_.Reset(Schema()); }
 
 // --- HashIntersectIterator ---------------------------------------------------
 
@@ -722,35 +774,33 @@ HashIntersectIterator::HashIntersectIterator(IteratorPtr left,
 }
 
 void HashIntersectIterator::Open() {
-  std::set<Row> lset;
-  {
-    left_->Open();
-    Row row;
-    while (left_->Next(&row)) lset.insert(row);
-    left_->Close();
-  }
+  left_rows_.Reset(left_->schema());
+  left_->Open();
+  while (const int64_t* row = left_->Next()) left_rows_.Insert(row);
+  left_->Close();
+  // A left row is emitted the first time the right stream finds it.
+  std::vector<bool> emitted(left_rows_.rows().size(), false);
   out_.clear();
-  std::set<Row> emitted;
   right_->Open();
-  Row row;
-  while (right_->Next(&row)) {
-    if (lset.count(row) != 0 && emitted.insert(row).second) {
-      out_.push_back(row);
+  while (const int64_t* row = right_->Next()) {
+    int64_t pos = left_rows_.Find(row);
+    if (pos >= 0 && !emitted[pos]) {
+      emitted[pos] = true;
+      out_.push_back(static_cast<uint32_t>(pos));
     }
   }
   right_->Close();
   pos_ = 0;
 }
 
-bool HashIntersectIterator::Next(Row* row) {
-  if (pos_ >= out_.size()) return false;
-  *row = out_[pos_++];
-  return true;
+const int64_t* HashIntersectIterator::Next() {
+  if (pos_ >= out_.size()) return nullptr;
+  return left_rows_.rows().row(out_[pos_++]);
 }
 
 void HashIntersectIterator::Close() {
-  out_.clear();
-  out_.shrink_to_fit();
+  left_rows_.Reset(Schema());
+  out_ = {};
 }
 
 }  // namespace volcano::exec

@@ -1,32 +1,81 @@
 // Physical operator iterators: scan, filter, sort, merge join, hybrid hash
 // join, outer/semi/anti joins, project, merge/hash intersect.
+//
+// Tuple ownership follows iterator.h: scan, filter, semijoin, antijoin,
+// nested subquery and concat hand out their input's (or table's) pointer;
+// project, the joins and the aggregates write each output tuple into one
+// fixed-width buffer they own; sort, the dedups, hash intersect, hash
+// aggregation, the nested-subquery inner side and every hash build drain
+// their input into one flat slab (Table) and address it by row position.
 
 #ifndef VOLCANO_EXEC_ITERATORS_H_
 #define VOLCANO_EXEC_ITERATORS_H_
 
+#include <cstdint>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "exec/iterator.h"
 #include "relational/rel_args.h"
+#include "support/flat_hash.h"
 
 namespace volcano::exec {
 
-/// Full scan of a stored table.
+/// Equi-join hash table over a slab: each key maps to the first slab
+/// position holding it, and next-position links chain the rest in input
+/// order. Rows with a kNull key are not stored (NULL never joins).
+class HashIndex {
+ public:
+  static constexpr uint32_t kEnd = UINT32_MAX;
+
+  /// Drains `input` (opening and closing it), keyed on column `col`.
+  void Build(Iterator& input, int col);
+  /// First position with `key`, or kEnd.
+  uint32_t First(int64_t key) const {
+    const uint32_t* head = heads_.Find(key);
+    return head == nullptr ? kEnd : *head;
+  }
+  /// The position after `pos` with the same key, or kEnd.
+  uint32_t Next(uint32_t pos) const { return next_[pos]; }
+  const int64_t* row(uint32_t pos) const { return slab_.row(pos); }
+  void Clear();
+
+ private:
+  Table slab_;
+  FlatHashMap<int64_t, uint32_t> heads_;
+  std::vector<uint32_t> next_;
+};
+
+/// Set of whole rows, kept in a slab in first-insertion order.
+class RowSet {
+ public:
+  void Reset(const Schema& schema);
+  /// Position of the stored row equal to `row`, or -1.
+  int64_t Find(const int64_t* row) const { return Find(row, HashRow(row)); }
+  /// Stores `row` unless an equal row is present; true if it was new.
+  bool Insert(const int64_t* row);
+  const Table& rows() const { return slab_; }
+
+ private:
+  uint64_t HashRow(const int64_t* row) const;
+  int64_t Find(const int64_t* row, uint64_t hash) const;
+
+  Table slab_;
+  FlatHashSet<uint32_t> index_;  // slab positions, hashed by row content
+};
+
+/// Full scan of a stored table: hands out pointers into the table.
 class ScanIterator final : public Iterator {
  public:
   explicit ScanIterator(const Table& table) : table_(table) {}
   void Open() override { pos_ = 0; }
-  bool Next(Row* row) override {
-    if (pos_ >= table_.rows.size()) return false;
-    *row = table_.rows[pos_++];
-    return true;
+  const int64_t* Next() override {
+    if (pos_ >= table_.size()) return nullptr;
+    return table_.row(pos_++);
   }
   void Close() override {}
-  const Schema& schema() const override { return table_.schema; }
+  const Schema& schema() const override { return table_.schema(); }
 
  private:
   const Table& table_;
@@ -38,7 +87,7 @@ class FilterIterator final : public Iterator {
  public:
   FilterIterator(IteratorPtr input, const rel::SelectArg& pred);
   void Open() override;
-  bool Next(Row* row) override;
+  const int64_t* Next() override;
   void Close() override;
   const Schema& schema() const override { return input_->schema(); }
 
@@ -54,25 +103,26 @@ class SortIterator final : public Iterator {
  public:
   SortIterator(IteratorPtr input, std::vector<Symbol> order);
   void Open() override;
-  bool Next(Row* row) override;
+  const int64_t* Next() override;
   void Close() override;
   const Schema& schema() const override { return input_->schema(); }
 
  private:
   IteratorPtr input_;
   std::vector<Symbol> order_;
-  std::vector<Row> rows_;
+  Table slab_;
+  std::vector<uint32_t> order_pos_;  // slab positions in sorted order
   size_t pos_ = 0;
 };
 
-/// Merge join on sorted inputs (equi-join, duplicate-correct: buffers the
-/// right-hand value group).
+/// Merge join on sorted inputs (equi-join, duplicate-correct: copies the
+/// right-hand value group into a slab so duplicate left keys re-scan it).
 class MergeJoinIterator final : public Iterator {
  public:
   MergeJoinIterator(IteratorPtr left, IteratorPtr right, Symbol left_attr,
                     Symbol right_attr);
   void Open() override;
-  bool Next(Row* row) override;
+  const int64_t* Next() override;
   void Close() override;
   const Schema& schema() const override { return schema_; }
 
@@ -84,25 +134,24 @@ class MergeJoinIterator final : public Iterator {
   int lcol_ = -1;
   int rcol_ = -1;
   Schema schema_;
-  Row lrow_;
-  bool lvalid_ = false;
-  Row rrow_;
-  bool rvalid_ = false;
-  std::vector<Row> rgroup_;
+  const int64_t* lrow_ = nullptr;
+  const int64_t* rrow_ = nullptr;  // first right row past the group
+  Table rgroup_;
   int64_t rgroup_key_ = 0;
   bool rgroup_valid_ = false;
   size_t rpos_ = 0;
+  std::vector<int64_t> out_;
 };
 
 /// Hash join: builds on the left input, probes with the right. The paper's
 /// experiments assume it "proceeds without partition files"; this in-memory
-/// implementation matches that assumption.
+/// implementation matches that assumption. Output order is unspecified.
 class HashJoinIterator final : public Iterator {
  public:
   HashJoinIterator(IteratorPtr left, IteratorPtr right, Symbol left_attr,
                    Symbol right_attr);
   void Open() override;
-  bool Next(Row* row) override;
+  const int64_t* Next() override;
   void Close() override;
   const Schema& schema() const override { return schema_; }
 
@@ -112,13 +161,9 @@ class HashJoinIterator final : public Iterator {
   int lcol_ = -1;
   int rcol_ = -1;
   Schema schema_;
-  std::unordered_multimap<int64_t, Row> hash_;
-  Row rrow_;
-  bool rvalid_ = false;
-  std::pair<std::unordered_multimap<int64_t, Row>::iterator,
-            std::unordered_multimap<int64_t, Row>::iterator>
-      match_range_;
-  bool in_match_ = false;
+  HashIndex build_;
+  uint32_t match_ = HashIndex::kEnd;
+  std::vector<int64_t> out_;
 };
 
 /// Hash left outer join: builds on the right (inner) input, probes with the
@@ -129,23 +174,21 @@ class HashLeftOuterJoinIterator final : public Iterator {
   HashLeftOuterJoinIterator(IteratorPtr left, IteratorPtr right,
                             Symbol left_attr, Symbol right_attr);
   void Open() override;
-  bool Next(Row* row) override;
+  const int64_t* Next() override;
   void Close() override;
   const Schema& schema() const override { return schema_; }
 
  private:
-  using Multimap = std::unordered_multimap<int64_t, Row>;
-
   IteratorPtr left_;
   IteratorPtr right_;
   int lcol_ = -1;
   int rcol_ = -1;
   Schema schema_;
-  Multimap hash_;
-  Row lrow_;
-  std::pair<Multimap::iterator, Multimap::iterator> match_range_;
+  HashIndex build_;
+  uint32_t match_ = HashIndex::kEnd;
   bool in_probe_ = false;
   bool emitted_match_ = false;
+  std::vector<int64_t> out_;
 };
 
 /// Hash semijoin: emits each outer (left) row at most once if the inner
@@ -156,7 +199,7 @@ class HashSemiJoinIterator final : public Iterator {
   HashSemiJoinIterator(IteratorPtr left, IteratorPtr right, Symbol left_attr,
                        Symbol right_attr);
   void Open() override;
-  bool Next(Row* row) override;
+  const int64_t* Next() override;
   void Close() override;
   const Schema& schema() const override { return left_->schema(); }
 
@@ -165,7 +208,7 @@ class HashSemiJoinIterator final : public Iterator {
   IteratorPtr right_;
   int lcol_ = -1;
   int rcol_ = -1;
-  std::unordered_set<int64_t> keys_;
+  FlatHashSet<int64_t> keys_;
 };
 
 /// Hash antijoin: the complement of the semijoin — emits exactly the outer
@@ -176,7 +219,7 @@ class HashAntiJoinIterator final : public Iterator {
   HashAntiJoinIterator(IteratorPtr left, IteratorPtr right, Symbol left_attr,
                        Symbol right_attr);
   void Open() override;
-  bool Next(Row* row) override;
+  const int64_t* Next() override;
   void Close() override;
   const Schema& schema() const override { return left_->schema(); }
 
@@ -185,7 +228,7 @@ class HashAntiJoinIterator final : public Iterator {
   IteratorPtr right_;
   int lcol_ = -1;
   int rcol_ = -1;
-  std::unordered_set<int64_t> keys_;
+  FlatHashSet<int64_t> keys_;
 };
 
 /// Naive correlated subquery execution (NESTED_SUBQ): materializes the
@@ -197,7 +240,7 @@ class NestedSubqIterator final : public Iterator {
   NestedSubqIterator(IteratorPtr left, IteratorPtr right,
                      const rel::SubqueryArg& arg);
   void Open() override;
-  bool Next(Row* row) override;
+  const int64_t* Next() override;
   void Close() override;
   const Schema& schema() const override { return left_->schema(); }
 
@@ -207,24 +250,22 @@ class NestedSubqIterator final : public Iterator {
   rel::SubqueryArg arg_;
   int lcol_ = -1;
   int rcol_ = -1;
-  std::vector<Row> inner_;
+  Table inner_;
 };
 
 /// Ternary multi-way hash join (MULTI_HASH_JOIN): builds hash tables on the
 /// second and third inputs and streams the first through both probes; the
-/// intermediate join result is never materialized.
+/// intermediate join result is never materialized. kNull keys never match.
 class MultiHashJoinIterator final : public Iterator {
  public:
   MultiHashJoinIterator(IteratorPtr a, IteratorPtr b, IteratorPtr c,
                         const rel::MultiJoinArg& arg);
   void Open() override;
-  bool Next(Row* row) override;
+  const int64_t* Next() override;
   void Close() override;
   const Schema& schema() const override { return schema_; }
 
  private:
-  using Multimap = std::unordered_multimap<int64_t, Row>;
-
   IteratorPtr a_;
   IteratorPtr b_;
   IteratorPtr c_;
@@ -234,15 +275,11 @@ class MultiHashJoinIterator final : public Iterator {
   int b_inner_col_ = -1;   // inner-right attribute in b's schema
   int ab_outer_col_ = -1;  // outer-left attribute in the (a,b) row
   int c_outer_col_ = -1;   // outer-right attribute in c's schema
-  Multimap b_hash_;
-  Multimap c_hash_;
-  Row arow_;
-  bool avalid_ = false;
-  std::pair<Multimap::iterator, Multimap::iterator> b_range_;
-  bool in_b_ = false;
-  Row ab_row_;
-  std::pair<Multimap::iterator, Multimap::iterator> c_range_;
-  bool in_c_ = false;
+  HashIndex b_build_;
+  HashIndex c_build_;
+  uint32_t b_match_ = HashIndex::kEnd;
+  uint32_t c_match_ = HashIndex::kEnd;
+  std::vector<int64_t> out_;  // (a, b, c); its (a, b) prefix is transient
 };
 
 /// Duplicate-preserving column projection; order preserving.
@@ -250,7 +287,7 @@ class ProjectIterator final : public Iterator {
  public:
   ProjectIterator(IteratorPtr input, std::vector<Symbol> attrs);
   void Open() override;
-  bool Next(Row* row) override;
+  const int64_t* Next() override;
   void Close() override;
   const Schema& schema() const override { return schema_; }
 
@@ -258,6 +295,7 @@ class ProjectIterator final : public Iterator {
   IteratorPtr input_;
   Schema schema_;
   std::vector<int> cols_;
+  std::vector<int64_t> out_;
 };
 
 /// Set intersection of two fully sorted inputs (positional column
@@ -272,7 +310,7 @@ class MergeIntersectIterator final : public Iterator {
                          std::vector<Symbol> left_order,
                          std::vector<Symbol> right_order);
   void Open() override;
-  bool Next(Row* row) override;
+  const int64_t* Next() override;
   void Close() override;
   const Schema& schema() const override { return left_->schema(); }
 
@@ -282,10 +320,11 @@ class MergeIntersectIterator final : public Iterator {
   std::vector<Symbol> left_order_;
   std::vector<Symbol> right_order_;
   std::vector<int> lcols_, rcols_;
-  Row lrow_, rrow_;
-  bool lvalid_ = false, rvalid_ = false;
+  const int64_t* lrow_ = nullptr;
+  const int64_t* rrow_ = nullptr;
   bool have_last_ = false;
-  Row last_;
+  std::vector<int64_t> last_;  // the row last emitted (the output buffer)
+  std::vector<int64_t> match_;
 };
 
 /// Bag union: forwards all rows of the first input, then the second.
@@ -293,7 +332,7 @@ class ConcatIterator final : public Iterator {
  public:
   ConcatIterator(IteratorPtr left, IteratorPtr right);
   void Open() override;
-  bool Next(Row* row) override;
+  const int64_t* Next() override;
   void Close() override;
   const Schema& schema() const override { return left_->schema(); }
 
@@ -309,7 +348,7 @@ class HashAggIterator final : public Iterator {
  public:
   HashAggIterator(IteratorPtr input, Symbol group_attr, Symbol count_attr);
   void Open() override;
-  bool Next(Row* row) override;
+  const int64_t* Next() override;
   void Close() override;
   const Schema& schema() const override { return schema_; }
 
@@ -317,7 +356,7 @@ class HashAggIterator final : public Iterator {
   IteratorPtr input_;
   Schema schema_;
   int group_col_ = -1;
-  std::vector<Row> out_;
+  Table out_;
   size_t pos_ = 0;
 };
 
@@ -327,7 +366,7 @@ class SortAggIterator final : public Iterator {
  public:
   SortAggIterator(IteratorPtr input, Symbol group_attr, Symbol count_attr);
   void Open() override;
-  bool Next(Row* row) override;
+  const int64_t* Next() override;
   void Close() override;
   const Schema& schema() const override { return schema_; }
 
@@ -335,9 +374,8 @@ class SortAggIterator final : public Iterator {
   IteratorPtr input_;
   Schema schema_;
   int group_col_ = -1;
-  Row pending_;
-  bool pending_valid_ = false;
-  bool done_ = false;
+  const int64_t* pending_ = nullptr;  // first row of the next group
+  int64_t out_[2] = {0, 0};
 };
 
 /// Sort-based duplicate elimination: sorts by the given prefix order then
@@ -346,45 +384,49 @@ class SortDedupIterator final : public Iterator {
  public:
   SortDedupIterator(IteratorPtr input, std::vector<Symbol> prefix_order);
   void Open() override;
-  bool Next(Row* row) override;
+  const int64_t* Next() override;
   void Close() override;
   const Schema& schema() const override { return input_->schema(); }
 
  private:
   IteratorPtr input_;
   std::vector<Symbol> prefix_order_;
-  std::vector<Row> rows_;
+  Table slab_;
+  std::vector<uint32_t> order_pos_;  // distinct rows' slab positions, sorted
   size_t pos_ = 0;
 };
 
-/// Hash-based duplicate elimination (HASH_DEDUP enforcer); order-destroying.
+/// Hash-based duplicate elimination (HASH_DEDUP enforcer); emits rows in
+/// first-seen order.
 class HashDedupIterator final : public Iterator {
  public:
   explicit HashDedupIterator(IteratorPtr input);
   void Open() override;
-  bool Next(Row* row) override;
+  const int64_t* Next() override;
   void Close() override;
   const Schema& schema() const override { return input_->schema(); }
 
  private:
   IteratorPtr input_;
-  std::vector<Row> out_;
+  RowSet seen_;
   size_t pos_ = 0;
 };
 
-/// Hash-based set intersection (duplicates eliminated).
+/// Hash-based set intersection (duplicates eliminated): builds a row set
+/// on the left input, emits each distinct right row found in it.
 class HashIntersectIterator final : public Iterator {
  public:
   HashIntersectIterator(IteratorPtr left, IteratorPtr right);
   void Open() override;
-  bool Next(Row* row) override;
+  const int64_t* Next() override;
   void Close() override;
   const Schema& schema() const override { return left_->schema(); }
 
  private:
   IteratorPtr left_;
   IteratorPtr right_;
-  std::vector<Row> out_;
+  RowSet left_rows_;
+  std::vector<uint32_t> out_;  // left_rows_ positions, in right-stream order
   size_t pos_ = 0;
 };
 

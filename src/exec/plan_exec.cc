@@ -170,7 +170,8 @@ Evaluated Eval(const Expr& expr, const rel::RelModel& model,
     const auto& arg = static_cast<const rel::GetArg&>(*expr.arg());
     const Table* table = db.Find(arg.relation());
     VOLCANO_CHECK(table != nullptr);
-    return {table->schema, table->rows};
+    ScanIterator scan(*table);
+    return {table->schema(), Drain(scan)};
   }
   if (op == ops.select) {
     const auto& arg = static_cast<const rel::SelectArg&>(*expr.arg());

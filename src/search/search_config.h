@@ -10,9 +10,7 @@
 // Migration: SearchConfig wraps the plain SearchOptions struct rather than
 // replacing it — `options()` hands the validated struct to the engine
 // unchanged, and `SearchConfig::FromOptions` validates a legacy struct in
-// one call. The Optimizer constructor that accepts a raw SearchOptions is
-// deprecated for one PR (it clamps invalid combinations with the historical
-// behavior); see README "SearchConfig migration".
+// one call.
 
 #ifndef VOLCANO_SEARCH_SEARCH_CONFIG_H_
 #define VOLCANO_SEARCH_SEARCH_CONFIG_H_

@@ -146,7 +146,9 @@ TEST(Tpch, LeftJoinPadsUnmatchedOuterRowsWithNull) {
   const exec::Table& orders = *f.db.Find(f.w.catalog->symbols().Lookup("orders"));
 
   std::set<int64_t> custkeys_with_orders;
-  for (const exec::Row& o : orders.rows) custkeys_with_orders.insert(o[1]);
+  for (size_t i = 0; i < orders.size(); ++i) {
+    custkeys_with_orders.insert(orders.row(i)[1]);
+  }
 
   std::set<int64_t> seen;
   size_t padded = 0;
@@ -161,7 +163,7 @@ TEST(Tpch, LeftJoinPadsUnmatchedOuterRowsWithNull) {
   }
   // Every distinct customer key appears in the result...
   std::set<int64_t> all;
-  for (const exec::Row& c : customer.rows) all.insert(c[0]);
+  for (size_t i = 0; i < customer.size(); ++i) all.insert(customer.row(i)[0]);
   EXPECT_EQ(seen, all);
   // ...and with 600 keys uniform over 3000 orders, some customers must
   // lack orders entirely (probability of none ~ (1-1/600)^-... effectively
@@ -184,12 +186,14 @@ TEST(Tpch, SemijoinAndAntijoinPartitionTheOuter) {
       "anti");
   const exec::Table& customer =
       *f.db.Find(f.w.catalog->symbols().Lookup("customer"));
-  EXPECT_EQ(in_rows.size() + not_in_rows.size(), customer.rows.size());
+  EXPECT_EQ(in_rows.size() + not_in_rows.size(), customer.size());
   std::vector<exec::Row> all = in_rows;
   all.insert(all.end(), not_in_rows.begin(), not_in_rows.end());
   std::vector<exec::Row> outer;
-  outer.reserve(customer.rows.size());
-  for (const exec::Row& c : customer.rows) outer.push_back({c[0]});
+  outer.reserve(customer.size());
+  for (size_t i = 0; i < customer.size(); ++i) {
+    outer.push_back({customer.row(i)[0]});
+  }
   EXPECT_TRUE(exec::SameMultiset(all, outer));
   EXPECT_FALSE(in_rows.empty());
   EXPECT_FALSE(not_in_rows.empty());
@@ -204,7 +208,7 @@ TEST(Tpch, EmptyInnerEdgeCases) {
       "(SELECT region.a0 FROM region WHERE region.a1 < 0)",
       "anti_empty");
   const exec::Table& nation = *f.db.Find(f.w.catalog->symbols().Lookup("nation"));
-  EXPECT_EQ(anti.size(), nation.rows.size());
+  EXPECT_EQ(anti.size(), nation.size());
   // ...SEMIJOIN emits nothing...
   std::vector<exec::Row> semi = f.Run(
       "SELECT nation.a0 FROM nation WHERE nation.a1 IN "
